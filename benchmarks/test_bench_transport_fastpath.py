@@ -1,9 +1,11 @@
 """E8: transport fast path — pooled connections + single-round-trip migration.
 
-Compares the legacy wire protocol (one TCP dial per frame, two-phase
-migration) against the pooled fast path (keepalive multiplexed connections,
-landing check + transfer ack + directory registration folded into one
-exchange) over real localhost sockets.
+Compares the dial-per-frame baseline (``TcpTransport(pooled=False)``: a
+fresh connection per exchange, closed after the reply, on the same
+``req``/``reqb``/``rep`` framing as the pool; two-phase migration) against
+the pooled fast path (keepalive multiplexed connections, landing check +
+transfer ack + directory registration folded into one exchange) over real
+localhost sockets.
 
 The space is two servers with the CENTRAL directory hosted at the
 destination, so the per-hop wire cost is fully visible in the transport's
@@ -24,8 +26,8 @@ benchmark is stable; latencies and throughput are recorded in
 
 The delta-shipping leg ping-pongs a courier with ~2 MB of immutable cargo
 and a tiny mutating visit log between the two servers: with delta
-shipping off, every hop re-pickles and re-ships the full image (the PR 6
-fast path); with it on, repeat hops ship only the changed fields.  The
+shipping off, every hop ships the full v2 image; with it on, repeat hops
+ship only the changed fields.  The
 wire counters prove the byte win (``bytes_per_hop`` ≤ 40% of full) —
 a structural metric CI gates on — and ``hops_per_sec`` records the
 throughput win.
@@ -44,7 +46,7 @@ from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.perf.bench import write_bench
 from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.server import DirectoryMode, NapletServer, ServerConfig
+from repro.server import DirectoryMode, NapletServer, ServerConfig, SpaceAdmin
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, StallNaplet
@@ -172,6 +174,10 @@ def _measure_delta(delta: bool) -> dict:
         report = listener.next_report(timeout=60)
         elapsed = time.perf_counter() - started
         assert report.payload == route
+        # The report fires at the last landing, before the *sender* of that
+        # hop has folded in its ack (delta counters, wire bytes): drain the
+        # space before reading the counters.
+        assert SpaceAdmin(servers).wait_space_idle(timeout=10)
 
         wire = transport.metrics.counter("wire_bytes_total")
         transfer_bytes = int(wire.value(kind="naplet-transfer"))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.core.errors import NapletCommunicationError
@@ -149,13 +149,9 @@ class FaultInjector:
             payload = _CORRUPT_MARK + bytes(payload[len(_CORRUPT_MARK):])
         else:
             payload = _CORRUPT_MARK
-        return Frame(
-            kind=frame.kind,
-            source=frame.source,
-            dest=frame.dest,
-            payload=payload,
-            headers=dict(frame.headers),
-        )
+        # Only the leading payload bytes are mangled; the out-of-band
+        # segments travel on untouched.
+        return replace(frame, payload=payload, headers=dict(frame.headers))
 
     def _fail(self, decision: FaultDecision, frame: Frame) -> InjectedFault:
         reason = "refused dial" if decision.refuse_dial else (

@@ -149,7 +149,7 @@ def explain_pickle(
         try:
             pickler.dump(value)
         except Exception:
-            # Unpicklable attribute (would also break the real transfer);
+            # An attribute pickle refuses (would also break the real transfer):
             # attribute zero bytes rather than fail the X-ray.
             attributes[_friendly(attr)] = 0
             continue

@@ -22,12 +22,19 @@ separate LANDING_REQUEST round trip — and registers depart+arrival with
 the directory in one combined event on the source's behalf.  The landing
 check still runs *before* the naplet image is deserialized; a denial acks
 ``{"denied": True}`` and the source rolls back exactly as in the
-two-phase protocol.  A destination that does not speak the fast path acks
-``{"unsupported": True}`` and the source transparently falls back to the
-two-phase sequence.  During the single in-flight window the directory
-still shows the naplet at the source; that is safe because the source has
-already marked the departure locally, so messages arriving there are
-forwarded toward the destination (the standard chase guarantee).
+two-phase protocol.  Every server lands both kinds of transfer, so
+``migration_fast_path`` only chooses which protocol a source starts.
+During the single in-flight window the directory still shows the naplet
+at the source; that is safe because the source has already marked the
+departure locally, so messages arriving there are forwarded toward the
+destination (the standard chase guarantee).
+
+Both protocols ship the same frame: the v2 image envelope as the first
+out-of-band segment, its field buffers after it, and — fast path only —
+the credential as the payload.  One ship loop serves both: a ``need_full``
+ack (the destination lost the delta base or a referenced module) re-ships
+one full image within the attempt; any other rejection fails the attempt
+with :class:`NapletMigrationError`, which ``migration_retry`` handles.
 
 The per-naplet :class:`NavigatorOps` object implements the itinerary
 driver's :class:`~repro.itinerary.itinerary.TravelOps` protocol — dispatch,
@@ -39,7 +46,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.context import NapletContext
@@ -68,9 +75,6 @@ __all__ = ["Navigator", "NavigatorOps"]
 # Hot control replies, serialized once instead of per-exchange.
 _GRANTED = pickle.dumps({"granted": True})
 _ACK_OK = pickle.dumps({"ok": True})
-_FAST_PATH_UNSUPPORTED = pickle.dumps(
-    {"ok": False, "unsupported": True, "reason": "fast-path not supported here"}
-)
 
 # Remembered transfer-ids per destination navigator: enough to absorb any
 # realistic retry window, small enough to never matter for memory.
@@ -104,13 +108,11 @@ class Navigator:
         self._transfer_seq = itertools.count(1)
         # Delta-shipping negotiation state (DESIGN.md §6.7), all advisory:
         # which base image hash each peer last acked holding per naplet,
-        # which module content hashes each peer's code cache holds, and
-        # which peers rejected v2 envelopes outright (v1-only).  Stale or
-        # lost entries never break a transfer — they only cost a full
-        # image or one extra in-attempt resend.
+        # and which module content hashes each peer's code cache holds.
+        # Stale or lost entries never break a transfer — they only cost a
+        # full image or one extra in-attempt resend.
         self._peer_bases: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._peer_code: dict[str, set[str]] = {}
-        self._v1_peers: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Outbound
@@ -170,12 +172,20 @@ class Navigator:
         telemetry = self.server.telemetry
         nid = naplet.naplet_id
         transfer_id = f"{self.server.urn}#{next(self._transfer_seq)}"
+        fast = self.server.config.migration_fast_path
 
         def _attempt() -> None:
+            credential = naplet.credential
             with telemetry.naplet_span(
                 naplet, "hop", source=self.server.hostname, dest=dest_urn
             ) as hop:
-                self._transfer(naplet, dest_urn, hop, transfer_id)
+                # 1. LAUNCH permission at the source (both protocols).
+                self.server.security.check(credential, Permission.LAUNCH)
+                if not fast:
+                    self._request_landing(naplet, dest_urn, credential)
+                # Fast path: the credential rides the transfer frame, so the
+                # destination decides landing in the same exchange.
+                self._ship(naplet, dest_urn, hop, transfer_id, credential if fast else None)
             telemetry.hops.inc()
             telemetry.hop_latency.observe(hop.duration)
 
@@ -196,23 +206,6 @@ class Navigator:
             give_up_on=(LandingDeniedError, LaunchDeniedError),
             on_retry=_on_retry,
         )
-
-    def _transfer(
-        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str
-    ) -> None:
-        nid = naplet.naplet_id
-        credential = naplet.credential
-        # 1. LAUNCH permission at the source (both paths).
-        self.server.security.check(credential, Permission.LAUNCH)
-        if self.server.config.migration_fast_path:
-            if self._transfer_fast(naplet, dest_urn, hop, credential, transfer_id):
-                return
-            # Destination predates (or disabled) the fast path: fall back.
-            self.server.telemetry.fast_path_fallbacks.inc()
-            self.server.events.record(
-                "fast-path-fallback", naplet=str(nid), dest=dest_urn
-            )
-        self._transfer_two_phase(naplet, dest_urn, hop, credential, transfer_id)
 
     # -- departure bookkeeping shared by both protocols ------------------- #
 
@@ -252,11 +245,18 @@ class Navigator:
             self.server.directory_client.report_arrival(nid, self.server.urn)
 
     def _transfer_frame(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop, payload: bytes,
-        transfer_id: str, extra_headers: dict[str, str] | None = None,
-        cost=None, buffers: tuple = (),
+        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop,
+        credential: Credential | None, transfer_id: str, dumped: tuple,
     ) -> Frame:
-        image_bytes = _image_nbytes(payload, buffers)
+        """One NAPLET_TRANSFER frame around a *dumped* image.
+
+        The envelope is the first out-of-band segment and its raw field
+        buffers follow, none of them re-copied by a protocol-5 transport.
+        A fast-path frame carries the pickled credential as its payload; a
+        two-phase frame (landing already granted) carries none.
+        """
+        data, buffers, cost = dumped
+        image_bytes = _image_nbytes(data, buffers)
         hop.set("bytes", image_bytes)
         self.server.telemetry.frame_bytes.inc(image_bytes, kind="naplet-transfer")
         headers = {"naplet": str(nid), "transfer-id": transfer_id}
@@ -266,8 +266,6 @@ class Navigator:
         hlc = self.server.journal.header_stamp()
         if hlc is not None:
             headers["hlc"] = hlc
-        if extra_headers:
-            headers.update(extra_headers)
         if hop.span_id:
             # The landing span at the destination nests under this hop.
             ctx = naplet.trace_context
@@ -278,9 +276,9 @@ class Navigator:
             kind=FrameKind.NAPLET_TRANSFER,
             source=self.server.urn,
             dest=dest_urn,
-            payload=payload,
+            payload=pickle.dumps(credential) if credential is not None else b"",
             headers=headers,
-            buffers=tuple(buffers),
+            buffers=(data, *buffers),
         )
         # Hop-cost attribution (perf plane): split this hop's wire size
         # into payload vs. header vs. shipped code, on the histogram and
@@ -291,10 +289,10 @@ class Navigator:
         telemetry.hop_bytes.observe(image_bytes, part="payload")
         telemetry.hop_bytes.observe(header_bytes, part="header")
         hop.set("header_bytes", header_bytes)
-        if cost is not None and cost.code_bytes:
+        if cost.code_bytes:
             telemetry.hop_bytes.observe(cost.code_bytes, part="code")
             hop.set("code_bytes", cost.code_bytes)
-        if cost is not None and cost.delta:
+        if cost.delta:
             hop.set("delta", True)
             if cost.saved_bytes:
                 telemetry.hop_bytes.observe(cost.saved_bytes, part="saved")
@@ -303,7 +301,7 @@ class Navigator:
 
     def _journal_hop_cost(
         self, nid: NapletID, naplet: "Naplet", dest_urn: str, frame: Frame,
-        cost, fast_path: bool,
+        cost, serialize_s: float, fast_path: bool,
     ) -> None:
         """Flight-record this hop's cost split (category ``perf``).
 
@@ -324,7 +322,7 @@ class Navigator:
             detail={
                 "source": self.server.hostname,
                 "dest": dest_urn,
-                "serialize_s": round(cost.seconds, 9),
+                "serialize_s": round(serialize_s, 9),
                 "payload_bytes": image_bytes,
                 "header_bytes": frame.size - image_bytes,
                 "code_bytes": cost.code_bytes,
@@ -336,36 +334,6 @@ class Navigator:
         )
 
     # -- delta-shipping negotiation (DESIGN.md §6.7) ----------------------- #
-
-    def _dump_plans(self, nid: str, dest_urn: str) -> deque:
-        """Escalation ladder of serialization plans toward *dest_urn*.
-
-        Most-optimistic first: a delta against the base the peer was last
-        seen holding, then a full v2 image (bundling all code), then the
-        legacy v1 envelope.  Every negative image ack moves down the
-        ladder *within* the same transfer attempt — the migration retry
-        policy never sees a delta refusal.
-        """
-        plans: deque = deque()
-        serializer = self.server.serializer
-        if serializer.delta_shipping and dest_urn not in self._v1_peers:
-            base = self._peer_bases.get((nid, dest_urn))
-            code = self._peer_code.get(dest_urn)
-            if base is not None:
-                plans.append({"base": base, "code": code})
-            elif code:
-                plans.append({"code": code})
-            plans.append({})
-        plans.append({"force_v1": True})
-        return plans
-
-    def _dump_image(self, naplet: "Naplet", plan: dict):
-        """Serialize *naplet* under one plan: ``(data, buffers, cost)``."""
-        if plan.get("force_v1"):
-            return self.server.serializer.dumps_with_cost(naplet, force_v1=True)
-        return self.server.serializer.dumps_with_cost(
-            naplet, base_hint=plan.get("base"), known_code=plan.get("code")
-        )
 
     def _note_peer_image(self, nid: str, peer_urn: str, img_hash: str) -> None:
         """Remember that *peer_urn* holds base *img_hash* for this naplet."""
@@ -399,158 +367,13 @@ class Navigator:
         if isinstance(code, list):
             self._peer_code[dest_urn] = set(code)
 
-    def _escalate_plan(
-        self, plans: deque, plan: dict, ack: dict, nid: NapletID, dest_urn: str,
-    ) -> dict | None:
-        """Pick the next plan after a negative *image* ack, or None.
+    # -- the two protocols -------------------------------------------------- #
 
-        ``need_full`` (base evicted / referenced code missing at the
-        destination) drops one rung; any other rejection of a v2 envelope
-        jumps straight to the v1 rung and pins the peer as v1-only for
-        this process.  Returns None when the ladder is exhausted (or the
-        failing envelope was already v1, where resending the same bytes
-        cannot help).
-        """
-        if plan.get("force_v1"):
-            return None
-        if ack.get("need_full"):
-            self._forget_peer_base(str(nid), dest_urn)
-            self.server.telemetry.delta_full_reships.inc()
-            self.server.events.record(
-                "delta-full-reship",
-                naplet=str(nid),
-                dest=dest_urn,
-                reason=ack.get("reason"),
-            )
-        else:
-            # Generic rejection of a v2 envelope: assume a v1-only peer.
-            self._v1_peers.add(dest_urn)
-            self.server.events.record(
-                "delta-v1-downgrade",
-                naplet=str(nid),
-                dest=dest_urn,
-                reason=ack.get("reason"),
-            )
-            while plans and not plans[0].get("force_v1"):
-                plans.popleft()
-        return plans.popleft() if plans else None
-
-    # -- fast path: landing check + transfer ack in one exchange ----------- #
-
-    def _fast_frame(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop,
-        credential: Credential, transfer_id: str, plan: dict, dumped: tuple,
-    ) -> Frame:
-        """Build one fast-path transfer frame around a *dumped* image.
-
-        v1 keeps the legacy layout — ``(credential, image)`` pickled as
-        the payload — so pre-delta peers interoperate.  v2 rides the
-        credential alone in the payload and the image as out-of-band
-        frame segments (``xfer: 2``): envelope first, then the raw field
-        buffers, none of them re-copied by a protocol-5 transport.
-        """
-        data, buffers, cost = dumped
-        if plan.get("force_v1"):
-            return self._transfer_frame(
-                naplet, nid, dest_urn, hop,
-                payload=pickle.dumps((credential, data)),
-                transfer_id=transfer_id,
-                extra_headers={"fast-path": "1"},
-                cost=cost,
-            )
-        return self._transfer_frame(
-            naplet, nid, dest_urn, hop,
-            payload=pickle.dumps(credential),
-            transfer_id=transfer_id,
-            extra_headers={"fast-path": "1", "xfer": "2"},
-            cost=cost,
-            buffers=(data, *buffers),
-        )
-
-    def _transfer_fast(
-        self, naplet: "Naplet", dest_urn: str, hop, credential: Credential,
-        transfer_id: str,
-    ) -> bool:
-        """Single-round-trip migration; False when the destination lacks it."""
-        nid = naplet.naplet_id
-        was_resident, record = self._mark_departure(naplet, nid, dest_urn, report=False)
-        if self.server.journal.enabled:
-            naplet._stamp_hlc(self.server.journal.clock.now())
-        observed_base = self._peer_bases.get((str(nid), dest_urn))
-        plans = self._dump_plans(str(nid), dest_urn)
-        plan = plans.popleft()
-        data, buffers, cost = self._dump_image(naplet, plan)
-        hop.set("serialize_s", cost.seconds)
-        # Journal the departure *before* the frame's HLC header is minted:
-        # the merged timeline must show this record ahead of the landing.
-        # (Escalation resends mint fresh headers, still after this record.)
-        self.server.events.record(
-            "naplet-depart", naplet=str(nid), dest=dest_urn,
-            bytes=_image_nbytes(data, buffers),
-            fast_path=True, delta=bool(cost.delta),
-        )
-        frame = self._fast_frame(
-            naplet, nid, dest_urn, hop, credential, transfer_id, plan,
-            (data, buffers, cost),
-        )
-
-        def _rollback() -> None:
-            self._rollback_departure(naplet, nid, was_resident, record, reported=False)
-
-        while True:
-            try:
-                ack = pickle.loads(self.server.transport.request(frame))
-            except NapletCommunicationError as exc:
-                _rollback()
-                raise NapletMigrationError(
-                    f"transfer to {dest_urn} failed: {exc}"
-                ) from exc
-            if ack.get("ok") is True:
-                telemetry = self.server.telemetry
-                telemetry.fast_path_hops.inc()
-                if cost.delta:
-                    telemetry.delta_hops.inc()
-                    if cost.saved_bytes:
-                        telemetry.delta_saved_bytes.inc(cost.saved_bytes)
-                self._record_peer_ack(nid, dest_urn, ack, observed_base)
-                hop.set("fast_path", True)
-                self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path=True)
-                # Messages that were parked here waiting for this naplet chase it.
-                self.server.messenger.forward_parked(nid, dest_urn)
-                return True
-            if ack.get("unsupported"):
-                _rollback()
-                return False
-            if ack.get("denied"):
-                _rollback()
-                self.server.events.record(
-                    "landing-denied", naplet=str(nid), dest=dest_urn,
-                    reason=ack.get("reason"), fast_path=True,
-                )
-                raise LandingDeniedError(
-                    f"{dest_urn} denied landing for {nid}: {ack.get('reason', 'unknown')}"
-                )
-            plan = self._escalate_plan(plans, plan, ack, nid, dest_urn)
-            if plan is None:
-                _rollback()
-                raise NapletMigrationError(
-                    f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
-                )
-            data, buffers, cost = self._dump_image(naplet, plan)
-            hop.set("serialize_s", cost.seconds)
-            frame = self._fast_frame(
-                naplet, nid, dest_urn, hop, credential, transfer_id, plan,
-                (data, buffers, cost),
-            )
-
-    # -- two-phase path: LANDING_REQUEST then NAPLET_TRANSFER -------------- #
-
-    def _transfer_two_phase(
-        self, naplet: "Naplet", dest_urn: str, hop, credential: Credential,
-        transfer_id: str,
+    def _request_landing(
+        self, naplet: "Naplet", dest_urn: str, credential: Credential
     ) -> None:
+        """2. LANDING permission at the destination (two-phase only)."""
         nid = naplet.naplet_id
-        # 2. LANDING permission at the destination.
         headers = {"naplet": str(nid)}
         hlc = self.server.journal.header_stamp()
         if hlc is not None:
@@ -573,58 +396,91 @@ class Navigator:
             raise LandingDeniedError(
                 f"{dest_urn} denied landing for {nid}: {reply.get('reason', 'unknown')}"
             )
-        # 3. Mark in transit, report DEPART, then ship.
-        was_resident, record = self._mark_departure(naplet, nid, dest_urn, report=True)
+
+    def _ship(
+        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str,
+        credential: Credential | None,
+    ) -> None:
+        """3. Mark in transit, ship the image, and fold in the landing ack.
+
+        *credential* set means the fast path: it rides the frame, and the
+        destination reports the DEPART together with the arrival.  On any
+        failure the departure is rolled back before the error propagates.
+        """
+        nid = naplet.naplet_id
+        fast = credential is not None
+        was_resident, record = self._mark_departure(naplet, nid, dest_urn, report=not fast)
         if self.server.journal.enabled:
             naplet._stamp_hlc(self.server.journal.clock.now())
+        serializer = self.server.serializer
         observed_base = self._peer_bases.get((str(nid), dest_urn))
-        plans = self._dump_plans(str(nid), dest_urn)
-        plan = plans.popleft()
-        data, buffers, cost = self._dump_image(naplet, plan)
-        hop.set("serialize_s", cost.seconds)
-        # Depart is journaled before the frame's HLC header is minted, so
-        # the landing sorts after it in the merged timeline.
+        dumped = serializer.dumps_with_cost(
+            naplet, base_hint=observed_base, known_code=self._peer_code.get(dest_urn)
+        )
+        data, buffers, cost = dumped
+        serialize_s = cost.seconds
+        hop.set("serialize_s", serialize_s)
+        # Journal the departure *before* the frame's HLC header is minted:
+        # the merged timeline must show this record ahead of the landing.
+        # (A need_full re-ship mints a fresh header, still after it.)
         self.server.events.record(
             "naplet-depart", naplet=str(nid), dest=dest_urn,
-            bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
+            bytes=_image_nbytes(data, buffers), fast_path=fast, delta=bool(cost.delta),
         )
-        frame = self._transfer_frame(
-            naplet, nid, dest_urn, hop, data, transfer_id, cost=cost,
-            buffers=tuple(buffers),
-        )
-
-        def _rollback() -> None:
-            self._rollback_departure(naplet, nid, was_resident, record, reported=True)
-
+        reshipped = False
         while True:
+            frame = self._transfer_frame(
+                naplet, nid, dest_urn, hop, credential, transfer_id, dumped
+            )
             try:
                 ack = pickle.loads(self.server.transport.request(frame))
             except NapletCommunicationError as exc:
-                _rollback()
+                self._rollback_departure(naplet, nid, was_resident, record, reported=not fast)
                 raise NapletMigrationError(
                     f"transfer to {dest_urn} failed: {exc}"
                 ) from exc
             if ack.get("ok") is True:
                 break
-            plan = self._escalate_plan(plans, plan, ack, nid, dest_urn)
-            if plan is None:
-                _rollback()
-                raise NapletMigrationError(
-                    f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
+            if ack.get("need_full") and not reshipped:
+                # The destination lost the delta base (or a module a code
+                # ref named): forget what we believed and re-ship once,
+                # full and with every bundle, within this attempt.
+                reshipped = True
+                self._forget_peer_base(str(nid), dest_urn)
+                self.server.telemetry.delta_full_reships.inc()
+                self.server.events.record(
+                    "delta-full-reship", naplet=str(nid), dest=dest_urn,
+                    reason=ack.get("reason"),
                 )
-            data, buffers, cost = self._dump_image(naplet, plan)
-            hop.set("serialize_s", cost.seconds)
-            frame = self._transfer_frame(
-                naplet, nid, dest_urn, hop, data, transfer_id, cost=cost,
-                buffers=tuple(buffers),
+                dumped = serializer.dumps_with_cost(naplet)
+                cost = dumped[2]
+                serialize_s += cost.seconds
+                hop.set("serialize_s", serialize_s)
+                continue
+            self._rollback_departure(naplet, nid, was_resident, record, reported=not fast)
+            if ack.get("denied"):
+                self.server.events.record(
+                    "landing-denied", naplet=str(nid), dest=dest_urn,
+                    reason=ack.get("reason"), fast_path=True,
+                )
+                raise LandingDeniedError(
+                    f"{dest_urn} denied landing for {nid}: {ack.get('reason', 'unknown')}"
+                )
+            raise NapletMigrationError(
+                f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
             )
         telemetry = self.server.telemetry
+        if fast:
+            telemetry.fast_path_hops.inc()
+            hop.set("fast_path", True)
         if cost.delta:
             telemetry.delta_hops.inc()
             if cost.saved_bytes:
                 telemetry.delta_saved_bytes.inc(cost.saved_bytes)
         self._record_peer_ack(nid, dest_urn, ack, observed_base)
-        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path=False)
+        self._journal_hop_cost(
+            nid, naplet, dest_urn, frame, cost, serialize_s, fast_path=fast
+        )
         # Messages that were parked here waiting for this naplet chase it.
         self.server.messenger.forward_parked(nid, dest_urn)
 
@@ -648,15 +504,12 @@ class Navigator:
                 return f"owner {owner!r} at capacity ({owner_limit})"
         return None
 
-    def _deny_landing(self, reason: str) -> bytes:
-        self.server.telemetry.landings_denied.inc()
-        return pickle.dumps({"granted": False, "reason": reason})
-
     def handle_landing_request(self, frame: Frame) -> bytes:
         credential: Credential = pickle.loads(frame.payload)
         reason = self._landing_denial(credential)
         if reason is not None:
-            return self._deny_landing(reason)
+            self.server.telemetry.landings_denied.inc()
+            return pickle.dumps({"granted": False, "reason": reason})
         self.server.events.record(
             "landing-granted", naplet=str(credential.naplet_id), source=frame.source
         )
@@ -711,7 +564,7 @@ class Navigator:
         return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
 
     def _note_arrived_image(self, frame: Frame, info: dict) -> None:
-        """Note that the *sender* of a landed v2 image holds it as a base.
+        """Note that the *sender* of a landed image holds it as a base.
 
         Its own delta cache retains what it just shipped, so a later hop
         straight back toward it (the ping-pong itinerary) can go delta
@@ -720,22 +573,18 @@ class Navigator:
         dump for its return hop on another thread immediately.
         """
         nid, img_hash = info.get("nid"), info.get("hash")
-        if (
-            info.get("v") == 2
-            and isinstance(nid, str)
-            and isinstance(img_hash, str)
-        ):
+        if isinstance(nid, str) and isinstance(img_hash, str):
             self._note_peer_image(nid, frame.source, img_hash)
 
     def _landing_ack(self, info: dict) -> bytes:
         """Ack a landed transfer, advertising delta state for next time.
 
-        A v2 landing acks the image hash now cached here (the sender
-        deltas against it on its next hop this way) plus the content
-        hashes of every module in the local code cache (so eager senders
-        skip re-shipping bundles).
+        With delta shipping on, the ack names the image hash now cached
+        here (the sender deltas against it on its next hop this way) plus
+        the content hashes of every module in the local code cache (so
+        eager senders skip re-shipping bundles).
         """
-        if not self.server.serializer.delta_shipping or info.get("v") != 2:
+        if not self.server.serializer.delta_shipping:
             return _ACK_OK
         ack: dict = {"ok": True, "code": self.server.code_cache.known_hashes()}
         img_hash = info.get("hash")
@@ -744,76 +593,35 @@ class Navigator:
         return pickle.dumps(ack)
 
     def handle_transfer(self, frame: Frame) -> bytes:
+        """Land a NAPLET_TRANSFER of either protocol and ack it.
+
+        A frame carrying a credential (the fast path) is admitted here,
+        *before* the image is deserialized — the same security posture as
+        the two-phase LANDING_REQUEST, one round trip instead of two — and
+        this server registers the combined depart+arrival for the source.
+        """
         duplicate = self._duplicate_transfer_ack(frame)
         if duplicate is not None:
             return duplicate
-        if frame.headers.get("fast-path") == "1":
-            return self._handle_fast_transfer(frame)
-        deserialize_started = time.perf_counter()
-        try:
-            naplet, info = self.server.serializer.loads_with_info(
-                frame.payload, self.server.code_cache,
-                buffers=frame.buffers or None,
+        if not frame.buffers:
+            return pickle.dumps({"ok": False, "reason": "no image segment"})
+        fast = bool(frame.payload)
+        if fast:
+            try:
+                credential: Credential = pickle.loads(frame.payload)
+            except Exception as exc:
+                return pickle.dumps({"ok": False, "reason": f"bad credential: {exc}"})
+            reason = self._landing_denial(credential)
+            if reason is not None:
+                self.server.telemetry.landings_denied.inc()
+                return pickle.dumps({"ok": False, "denied": True, "reason": reason})
+            self.server.events.record(
+                "landing-granted",
+                naplet=str(credential.naplet_id),
+                source=frame.source,
+                fast_path=True,
             )
-        except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
-            return self._need_full_ack(frame, exc)
-        except Exception as exc:
-            return pickle.dumps({"ok": False, "reason": f"deserialization failed: {exc}"})
-        self._note_arrived_image(frame, info)
-        self.receive(
-            naplet,
-            arrived_from=frame.source,
-            payload_bytes=_image_nbytes(frame.payload, frame.buffers),
-            trace_parent=frame.headers.get("trace-parent"),
-            deserialize_s=time.perf_counter() - deserialize_started,
-        )
-        # Remember only after the landing succeeded: a failed landing must
-        # NOT dedup the retry that follows it.
-        self._remember_transfer(frame, naplet.naplet_id)
-        return self._landing_ack(info)
-
-    def _handle_fast_transfer(self, frame: Frame) -> bytes:
-        """Landing check + land + ack, all in one exchange.
-
-        The credential rides ahead of the naplet image, so admission is
-        decided *before* the image is deserialized — same security posture
-        as the two-phase protocol, one round trip instead of two.  Layouts:
-        legacy (v1) packs ``(credential, image)`` into the payload; v2
-        (``xfer: 2`` header) packs only the credential there, with the
-        envelope and its out-of-band field buffers as frame segments.
-        """
-        if not self.server.config.migration_fast_path:
-            return _FAST_PATH_UNSUPPORTED
-        oob: tuple = ()
-        if frame.headers.get("xfer") == "2":
-            if not frame.buffers:
-                return pickle.dumps(
-                    {"ok": False, "reason": "bad fast-path payload: no image segment"}
-                )
-            try:
-                credential = pickle.loads(frame.payload)
-            except Exception as exc:
-                return pickle.dumps(
-                    {"ok": False, "reason": f"bad fast-path payload: {exc}"}
-                )
-            image, oob = frame.buffers[0], tuple(frame.buffers[1:])
-        else:
-            try:
-                credential, image = pickle.loads(frame.payload)
-            except Exception as exc:
-                return pickle.dumps(
-                    {"ok": False, "reason": f"bad fast-path payload: {exc}"}
-                )
-        reason = self._landing_denial(credential)
-        if reason is not None:
-            self.server.telemetry.landings_denied.inc()
-            return pickle.dumps({"ok": False, "denied": True, "reason": reason})
-        self.server.events.record(
-            "landing-granted",
-            naplet=str(credential.naplet_id),
-            source=frame.source,
-            fast_path=True,
-        )
+        image, oob = frame.buffers[0], frame.buffers[1:]
         deserialize_started = time.perf_counter()
         try:
             naplet, info = self.server.serializer.loads_with_info(
@@ -829,9 +637,11 @@ class Navigator:
             arrived_from=frame.source,
             payload_bytes=_image_nbytes(image, oob),
             trace_parent=frame.headers.get("trace-parent"),
-            departed_from=frame.source,
+            departed_from=frame.source if fast else None,
             deserialize_s=time.perf_counter() - deserialize_started,
         )
+        # Remember only after the landing succeeded: a failed landing must
+        # NOT dedup the retry that follows it.
         self._remember_transfer(frame, naplet.naplet_id)
         return self._landing_ack(info)
 

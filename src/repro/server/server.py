@@ -73,14 +73,13 @@ class ServerConfig:
     telemetry_enabled: bool = True  # False: no-op metrics/tracer (benchmarks)
     # Single-round-trip migration: piggyback the credential on the transfer
     # frame and register depart+arrival in one combined directory event.
-    # Controls both initiating the fast path and accepting it; a server
-    # with this off answers fast-path transfers with an "unsupported" ack
-    # and the source falls back to the two-phase protocol.
+    # Chooses only the protocol this server starts; every server lands
+    # both fast-path and two-phase transfers.
     migration_fast_path: bool = True
     # Delta state shipping (DESIGN.md §6.7): repeat hops ship only changed
-    # fields as a v2 envelope against a base image the destination acked.
-    # Off, the server emits and accepts only v1 full images — the v1-only
-    # peer posture; senders that see its rejection downgrade transparently.
+    # fields against a base image the destination acked.  Off, every hop
+    # ships a full v2 image with all its code, and landings here ack no
+    # base, so peers never send this server deltas either.
     delta_shipping: bool = True
     delta_cache_capacity: int = 64  # base images kept per server (LRU)
     # Resilience policies (DESIGN.md §6.3).  The defaults are the

@@ -7,7 +7,7 @@ service and the other pair (:class:`NapletWriter`/:class:`NapletReader`) to
 the naplet.  Data written by ``NapletWriter`` is read by ``ServiceReader``;
 data written by ``ServiceWriter`` is read by ``NapletReader``.
 
-Endpoints carry generic picklable objects; ``write_line``/``read_line``
+Endpoints carry any object pickle can serialize; ``write_line``/``read_line``
 aliases keep the paper's text-protocol listings readable.  ``EOF`` is the
 stream-end sentinel (``in.readLine() != EOF`` in the paper's NMNaplet).
 

@@ -71,10 +71,6 @@ class ServerTelemetry:
             "naplet_fast_path_hops_total",
             "Hops completed by the single-round-trip migration fast path",
         )
-        self.fast_path_fallbacks = reg.counter(
-            "naplet_fast_path_fallbacks_total",
-            "Fast-path transfers that fell back to the two-phase protocol",
-        )
         self.migration_retries = reg.counter(
             "naplet_migration_retries_total",
             "Migration attempts retried under the server's RetryPolicy",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.errors import NapletCommunicationError
@@ -89,8 +89,7 @@ class Frame:
     # Out-of-band segments (pickle protocol 5): bytes-like blocks shipped
     # beside the payload.  The pooled TCP wire writes them as separate
     # frame segments with no re-copy; the in-memory transport hands them
-    # over by reference.  Items may be memoryviews — transports that must
-    # pickle the whole frame call :meth:`picklable` first.
+    # over by reference.  Items may be memoryviews.
     buffers: tuple = ()
 
     @property
@@ -104,17 +103,6 @@ class Frame:
             len(self.payload) + buffer_bytes + header_bytes
             + len(self.kind) + len(self.source) + len(self.dest)
         )
-
-    def picklable(self) -> "Frame":
-        """This frame with every buffer materialized to ``bytes``.
-
-        Memoryviews do not pickle; the legacy (unpooled) wire paths that
-        serialize the whole frame flatten them first — a copy, which is
-        exactly the baseline those paths represent.
-        """
-        if all(isinstance(b, bytes) for b in self.buffers):
-            return self
-        return replace(self, buffers=tuple(bytes(b) for b in self.buffers))
 
 
 FrameHandler = Callable[[Frame], bytes | None]

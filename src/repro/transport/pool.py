@@ -260,6 +260,12 @@ class PooledConnection:
 
     def close(self) -> None:
         self._dead.set()
+        # shutdown() (not just close()) sends FIN and wakes the reader
+        # thread blocked in recv() on this socket.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.sock.close()
         except OSError:

@@ -17,16 +17,18 @@ Two envelope versions exist (DESIGN.md §6.7):
 
 - **v1** — one opaque pickle plus eager code bundles.  Always
   self-contained; produced by :meth:`NapletSerializer.dumps` and used for
-  messages, freeze/thaw images, and peers that predate v2.
-- **v2** — a *per-field* image of a tracked naplet: each ``__getstate__``
-  entry pickled separately, content-hashed, and shipped either whole
-  (``mode: full``) or as only the fields changed since a base image the
-  destination acked (``mode: delta``).  Field bytes are wrapped in
+  message bodies and freeze/thaw images.
+- **v2** — the migration envelope, produced by :meth:`dumps_with_cost`: a
+  *per-field* image of a naplet, each ``__getstate__`` entry pickled
+  separately, content-hashed, and shipped either whole (``mode: full``)
+  or as only the fields changed since a base image the destination acked
+  (``mode: delta``).  Field bytes are wrapped in
   :class:`pickle.PickleBuffer` so protocol-5 transports move them as
   out-of-band frame segments without re-copying; eager code bundles are
   replaced by ``code_refs`` content hashes when the destination already
-  holds the module.  Produced only by :meth:`dumps_with_cost`, the
-  migration path.
+  holds the module.  A naplet whose field graph reaches back to itself
+  ships as a single *whole-image* field — the naplet pickled with one
+  memo, so the cycle survives.
 
 The v2 machinery is conservative by construction: a field is re-used from
 the cache (no re-pickle) only when it provably cannot have changed; a
@@ -66,6 +68,9 @@ __all__ = ["NapletSerializer", "SerializeCost", "SerializerObserver"]
 
 _V1 = 1
 _V2 = 2
+# Field name of a whole-image v2 payload: not a valid attribute name, so it
+# can never collide with a real ``__getstate__`` entry.
+_WHOLE = "<naplet>"
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,8 @@ class _ShippingPickler(pickle.Pickler):
 
     ``root`` guards per-field pickling: a field whose object graph reaches
     back to the naplet being decomposed would unpickle as a detached copy,
-    so such naplets bail out of the v2 path entirely (v1 pickles the whole
-    graph with one shared memo and keeps the cycle intact).
+    so such naplets ship as one whole-image field instead (pickled with
+    one shared memo, which keeps the cycle intact).
     """
 
     def __init__(self, file: io.BytesIO, protocol: int, root: Any = None) -> None:
@@ -136,11 +141,10 @@ def _buf_bytes(buffers: Iterable[Any]) -> int:
 class NapletSerializer:
     """Envelope-based serializer with optional eager code bundling.
 
-    With ``delta_shipping`` on (the default), migrating naplets go out as
-    v2 per-field images and repeat hops toward a destination that acked a
-    base hash ship deltas; off, every image is a v1 pickle and incoming v2
-    envelopes are rejected — the "v1-only peer" posture the negotiation
-    tests exercise.
+    Migrating naplets always go out as v2 per-field images.  With
+    ``delta_shipping`` on (the default), repeat hops toward a destination
+    that acked a base hash ship deltas; off, every image is full and
+    bundles all its code.  Either reader accepts any v2 image.
     """
 
     def __init__(
@@ -194,7 +198,6 @@ class NapletSerializer:
         *,
         base_hint: str | None = None,
         known_code: set[str] | None = None,
-        force_v1: bool = False,
     ) -> tuple[bytes, list[Any], SerializeCost]:
         """Serialize *obj* for migration: ``(data, buffers, cost)``.
 
@@ -205,32 +208,21 @@ class NapletSerializer:
         matches the sender's cache, only changed fields ship (``mode:
         delta``).  ``known_code`` holds content hashes of modules the
         destination's code cache was seen holding; matching eager bundles
-        are replaced by hash references.  ``force_v1`` drops to the legacy
-        envelope for peers that rejected v2.
+        are replaced by hash references.  With delta shipping off both
+        hints are ignored: the image is full and bundles all its code.
         """
-        nid = self._trackable_id(obj) if self._delta and not force_v1 else None
-        if nid is not None:
-            state = obj.__getstate__()
-            if isinstance(state, dict):
-                encoded = self._encode_v2(obj, nid, state, base_hint, known_code)
-                if encoded is not None:
-                    data, buffers, cost = encoded
-                    if self._observer is not None:
-                        self._observer.serialized(cost)
-                    return data, buffers, cost
-        data, cost = self._encode_v1(obj)
+        if not (isinstance(obj, TrackedState) and getattr(obj, "has_id", False)):
+            raise SerializationError(
+                f"cannot migrate {type(obj).__name__}: not an identified naplet"
+            )
+        if not self._delta:
+            base_hint = known_code = None
+        data, buffers, cost = self._encode_v2(
+            obj, str(obj.naplet_id), base_hint, known_code
+        )
         if self._observer is not None:
             self._observer.serialized(cost)
-        return data, [], cost
-
-    @staticmethod
-    def _trackable_id(obj: Any) -> str | None:
-        """The naplet-id cache key, or None when *obj* can't travel as v2."""
-        if not isinstance(obj, TrackedState):
-            return None
-        if not getattr(obj, "has_id", False):
-            return None
-        return str(obj.naplet_id)
+        return data, buffers, cost
 
     def _encode_v1(self, obj: Any) -> tuple[bytes, SerializeCost]:
         started = time.perf_counter()
@@ -261,12 +253,13 @@ class NapletSerializer:
         return data, cost
 
     def _pickle_field(self, root: Any, name: str, value: Any) -> tuple[bytes, frozenset]:
+        """Pickle one field of *root*; the whole-image field is *root* itself,
+        pickled without the self-reference guard."""
         buffer = io.BytesIO()
-        pickler = _ShippingPickler(buffer, self._protocol, root=root)
+        guard = root if value is not root else None
+        pickler = _ShippingPickler(buffer, self._protocol, root=guard)
         try:
             pickler.dump(value)
-        except _SelfReferential:
-            raise
         except (TypeError, AttributeError, pickle.PicklingError) as exc:
             raise SerializationError(
                 f"cannot serialize field {name!r} of {type(root).__name__}: {exc}"
@@ -277,16 +270,15 @@ class NapletSerializer:
         self,
         obj: Any,
         nid: str,
-        state: dict[str, Any],
         base_hint: str | None,
         known_code: set[str] | None,
-    ) -> tuple[bytes, list[Any], SerializeCost] | None:
+    ) -> tuple[bytes, list[Any], SerializeCost]:
         started = time.perf_counter()
         dirty = obj.dirty_fields()
         prev = self._delta_cache.get(nid)
         new_fields: dict[str, FieldEntry] = {}
         try:
-            for name, value in state.items():
+            for name, value in obj.__getstate__().items():
                 entry = prev.fields.get(name) if prev is not None else None
                 if (
                     entry is not None
@@ -318,7 +310,16 @@ class NapletSerializer:
                     stamps=stamps,
                 )
         except _SelfReferential:
-            return None  # field graph reaches the naplet itself: v1 keeps the cycle
+            # The field graph reaches the naplet itself: ship one
+            # whole-image field, pickled with one memo so the cycle
+            # survives.  Its value is never reused, so the entry keeps no
+            # reference to the naplet.
+            data, stamps = self._pickle_field(obj, _WHOLE, obj)
+            new_fields = {
+                _WHOLE: FieldEntry(
+                    data=data, hash=content_hash(data), value=None, stamps=stamps
+                )
+            }
         img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
         prev_hashes = prev.field_hashes() if prev is not None else {}
         delta_mode = (
@@ -449,11 +450,6 @@ class NapletSerializer:
             obj = self._loads_v1(envelope, cache)
             return obj, {"v": _V1, "mode": "full", "nid": None, "hash": None}
         if version == _V2:
-            if not self._delta:
-                raise SerializationError(
-                    "v2 (delta-shipping) envelope, but this reader only "
-                    "accepts v1 — the sender must fall back to a full v1 image"
-                )
             return self._loads_v2(envelope, cache)
         raise SerializationError("unrecognised envelope format")
 
@@ -555,6 +551,8 @@ class NapletSerializer:
         else:
             raise SerializationError(f"unknown class reference kind {kind!r}")
 
+        # A whole-image field unpickles to the naplet itself, cycles and all.
+        whole = _WHOLE in field_bytes
         state: dict[str, Any] = {}
         new_fields: dict[str, FieldEntry] = {}
 
@@ -572,8 +570,8 @@ class NapletSerializer:
                 new_fields[name] = FieldEntry(
                     data=blob if isinstance(blob, bytes) else bytes(blob),
                     hash=field_hashes[name],
-                    value=value,
-                    fingerprint=delta_fingerprint(value),
+                    value=None if whole else value,
+                    fingerprint=None if whole else delta_fingerprint(value),
                 )
 
         if cache is not None:
@@ -582,12 +580,15 @@ class NapletSerializer:
         else:
             _unpickle_all()
 
-        obj = cls.__new__(cls)
-        setstate = getattr(obj, "__setstate__", None)
-        if callable(setstate):
-            setstate(state)
+        if whole:
+            obj = state[_WHOLE]
         else:
-            obj.__dict__.update(state)
+            obj = cls.__new__(cls)
+            setstate = getattr(obj, "__setstate__", None)
+            if callable(setstate):
+                setstate(state)
+            else:
+                obj.__dict__.update(state)
         # Seed the base cache with the composed image: the field values in
         # the entries ARE the objects now installed on the naplet, so a
         # return hop from this server gets the identity-based pickle skip.

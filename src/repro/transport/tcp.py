@@ -8,9 +8,9 @@ ids so many concurrent ``request()``s share that socket, and the server
 side serves many frames per connection, dispatching handler work to a
 bounded per-endpoint worker pool instead of spawning a thread per accept.
 
-The legacy one-frame-per-connection envelope ``(frame, expects_reply)`` is
-still accepted (and produced with ``pooled=False``), so a pooled server
-interoperates with an unpooled client — the benchmark baseline.
+With ``pooled=False`` every exchange dials a fresh connection and closes
+it after the reply — the dial-per-frame benchmark baseline — over the
+same ``req``/``reqb``/``rep`` framing, so there is one wire protocol.
 
 Caveat for reentrant handlers: handler work runs on a bounded pool
 (``server_workers`` per endpoint), so deeply nested request chains that
@@ -36,6 +36,7 @@ from repro.transport.pool import (
     REP,
     REQ,
     REQB,
+    PooledConnection,
     recv_blob,
     recv_segments,
     send_blob,
@@ -88,9 +89,8 @@ class _Endpoint:
     def _serve(self, conn: socket.socket) -> None:
         """Serve frames on one connection until the peer closes it.
 
-        Multiplexed requests are handed to the worker pool and replied to
-        out of order, tagged by correlation id; the legacy envelope serves
-        one frame and closes, as the old protocol did.
+        Requests are handed to the worker pool and replied to out of
+        order, tagged by correlation id.
         """
         write_lock = threading.Lock()
         try:
@@ -110,22 +110,13 @@ class _Endpoint:
                         self._transport._account_received(
                             self.urn, sum(b.nbytes for b in frame.buffers)
                         )
-                        self._workers.submit(
-                            self._handle_one, conn, write_lock, cid, frame, expects_reply
-                        )
                     elif len(envelope) == 4 and envelope[0] == REQ:
                         _tag, cid, frame, expects_reply = envelope
-                        self._workers.submit(
-                            self._handle_one, conn, write_lock, cid, frame, expects_reply
-                        )
                     else:
-                        frame, expects_reply = envelope
-                        reply = self.handler(frame)
-                        if expects_reply:
-                            out = pickle.dumps(reply if reply is not None else b"")
-                            send_blob(conn, out)
-                            self._transport._account_sent(self.urn, len(out))
-                        break
+                        raise ValueError(f"unknown wire envelope {envelope[:1]!r}")
+                    self._workers.submit(
+                        self._handle_one, conn, write_lock, cid, frame, expects_reply
+                    )
         except Exception as exc:
             # Connection-scoped failure (bad frame, handler error, dead
             # peer): the connection is dropped, but not silently — the
@@ -217,7 +208,7 @@ class TcpTransport(Transport):
         )
 
     def _pool_traffic(self, frame: Frame, sent: int, received: int) -> None:
-        """Attribute a pooled exchange's wire bytes to the sending endpoint."""
+        """Attribute one exchange's wire bytes to the sending endpoint."""
         self._account_sent(frame.source, sent)
         if received:
             self._account_received(frame.source, received)
@@ -288,20 +279,22 @@ class TcpTransport(Transport):
             raise NapletCommunicationError(f"cannot reach {urn}: {exc}") from exc
         return sock
 
+    def _dial_once(self, dest: str) -> PooledConnection:
+        """A fresh, unshared connection for one unpooled exchange."""
+        conn = PooledConnection(self._connect(dest), dest)
+        self._note_connection_opened(dest)
+        return conn
+
     def send(self, frame: Frame) -> None:
         started = time.monotonic()
         if self._pool is not None:
             self._pool.send(frame)
         else:
-            sock = self._connect(frame.dest)
-            self._note_connection_opened(frame.dest)
+            conn = self._dial_once(frame.dest)
             try:
-                with sock:
-                    blob = pickle.dumps((frame.picklable(), False))
-                    send_blob(sock, blob)
-                    self._account_sent(frame.source, len(blob))
-            except OSError as exc:
-                raise NapletCommunicationError(f"send to {frame.dest} failed: {exc}") from exc
+                self._pool_traffic(frame, conn.send(frame), 0)
+            finally:
+                conn.close()
         self._observe_wire(frame, time.monotonic() - started)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
@@ -309,22 +302,12 @@ class TcpTransport(Transport):
         if self._pool is not None:
             reply = self._pool.request(frame, timeout)
         else:
-            sock = self._connect(frame.dest)
-            self._note_connection_opened(frame.dest)
+            conn = self._dial_once(frame.dest)
             try:
-                with sock:
-                    if timeout is not None:
-                        sock.settimeout(timeout)
-                    blob = pickle.dumps((frame.picklable(), True))
-                    send_blob(sock, blob)
-                    self._account_sent(frame.source, len(blob))
-                    raw = recv_blob(sock)
-                    self._account_received(frame.source, len(raw))
-                    reply = pickle.loads(raw)
-            except socket.timeout as exc:
-                raise NapletCommunicationError(f"request to {frame.dest} timed out") from exc
-            except OSError as exc:
-                raise NapletCommunicationError(f"request to {frame.dest} failed: {exc}") from exc
+                reply, sent, received = conn.request_with_cost(frame, timeout)
+            finally:
+                conn.close()
+            self._pool_traffic(frame, sent, received)
         self._observe_wire(frame, time.monotonic() - started)
         return reply
 

@@ -165,6 +165,15 @@ class TestFaultInjector:
         assert delivered.payload.startswith(b"\xde\xad")
         assert delivered.payload[2:] == b"llo world"
 
+        # Out-of-band segments survive: a corrupted frame is not a truncated one.
+        segmented = frame(payload=b"credential")
+        segmented.buffers = (b"envelope", memoryview(b"field-bytes"))
+        injector = FaultInjector(inner, FaultPlan().corrupt(times=1))
+        injector.request(segmented)
+        (delivered,) = inner.requested
+        assert delivered.payload == b"\xde\xadedential"
+        assert delivered.buffers == segmented.buffers
+
     def test_crash_after_delivers_then_raises(self):
         inner = FakeTransport()
         plan = FaultPlan()

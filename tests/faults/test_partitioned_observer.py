@@ -130,6 +130,13 @@ class TestPartitionedObserver:
         servers, _transport = chaos_space(plan, config=_observer_config())
         _warm_links(servers)
         _beat_until_fresh(servers, "c01", ("c00",))
+        # A beat sent while waiting may still be in flight on the TCP wire:
+        # let the last one land before the partition and the snapshot.
+        last_seq = servers["c00"].observatory._seq
+        assert wait_until(
+            lambda: servers["c01"].observatory.view.digest("c00").seq == last_seq,
+            timeout=5,
+        )
         plan.partition("c00")
         # The cut-off observer's own heartbeat must not raise; failed
         # sends either drop silently (injector) or count as failures

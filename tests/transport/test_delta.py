@@ -1,6 +1,8 @@
-"""Delta shipping: base caches, v2 envelopes, and the fallback contract."""
+"""Delta shipping: base caches, v2 envelopes, and the need_full contract."""
 
 from __future__ import annotations
+
+import pickle as _pickle
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.transport.delta import (
     image_hash,
 )
 from repro.transport.serializer import NapletSerializer
-from tests.core.test_naplet import _identified
+from tests.core.test_naplet import ProbeNaplet, _identified
 from tests.transport.shipped_fixture import StampedPayload
 
 
@@ -156,43 +158,29 @@ class TestV2Envelope:
         assert cost.delta
         with pytest.raises(DeltaBaseMissingError):
             receiver.loads_with_info(data2, buffers=buffers2 or None)
-        # The sender's escalation re-ships full; the receiver recovers.
+        # The sender's need_full re-ship is full; the receiver recovers.
         data3, buffers3, cost3 = sender.dumps_with_cost(agent)
         assert not cost3.delta
         copy, info3 = receiver.loads_with_info(data3, buffers=buffers3 or None)
         assert info3["mode"] == "full"
         assert copy.state.get("k") == 9
 
-    def test_v2_into_v1_only_reader_is_a_clean_error(self):
-        sender = NapletSerializer()
-        v1_only = NapletSerializer(delta_shipping=False)
-        agent = _identified("legacy-peer")
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        with pytest.raises(SerializationError, match="only accepts v1"):
-            v1_only.loads_with_info(data, buffers=buffers or None)
-
-    def test_force_v1_round_trips_through_v1_only_reader(self):
-        sender = NapletSerializer()
-        v1_only = NapletSerializer(delta_shipping=False)
-        agent = _identified("forced")
-        agent.state.set("k", 7)
-        data, buffers, cost = sender.dumps_with_cost(agent, force_v1=True)
-        assert buffers == [] and not cost.delta
-        copy, info = v1_only.loads_with_info(data)
-        assert info["v"] == 1
-        assert copy.state.get("k") == 7
-
-    def test_delta_off_sender_always_ships_v1(self):
+    def test_delta_off_sender_ships_full_v2_any_reader_accepts(self):
         sender = NapletSerializer(delta_shipping=False)
-        agent = _identified("v1-sender")
-        data, buffers, _ = sender.dumps_with_cost(agent, base_hint="deadbeef")
-        assert buffers == []
-        _, info = NapletSerializer(delta_shipping=False).loads_with_info(data)
-        assert info["v"] == 1
+        agent = _identified("full-only")
+        agent.state.set("k", 7)
+        data, buffers, _ = sender.dumps_with_cost(agent)
+        # Even with an acked base and known code, the image stays full.
+        data, buffers, cost = sender.dumps_with_cost(
+            agent, base_hint=sender.delta_cache.get(str(agent.naplet_id)).hash
+        )
+        assert not cost.delta
+        for reader in (NapletSerializer(), NapletSerializer(delta_shipping=False)):
+            copy, info = reader.loads_with_info(data, buffers=buffers or None)
+            assert info["v"] == 2 and info["mode"] == "full"
+            assert copy.state.get("k") == 7
 
     def test_corrupt_delta_fails_the_image_hash_check(self):
-        import pickle as _pickle
-
         sender, receiver = self._pair()
         agent = _identified("tamper")
         data, buffers, _ = sender.dumps_with_cost(agent)
@@ -223,8 +211,6 @@ class TestCodeNegotiation:
         sender = NapletSerializer(registry, eager_code=True)
         agent = _identified("codeful")
         agent.payload = StampedPayload(11)
-
-        import pickle as _pickle
 
         data, buffers, cost = sender.dumps_with_cost(agent)
         envelope = _pickle.loads(data, buffers=buffers or None)
@@ -268,3 +254,66 @@ class TestCodeNegotiation:
         bare_cache = CodeCache(CodeBaseRegistry())  # never saw the bundle
         with pytest.raises(ShippedCodeMissingError):
             NapletSerializer().loads_with_info(data, bare_cache, buffers=buffers or None)
+
+
+class SelfReferentialNaplet(ProbeNaplet):
+    """A naplet whose field graph reaches back to itself."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.me = self
+        self.box = {"owner": self}
+
+
+def _self_referential(name: str) -> SelfReferentialNaplet:
+    agent = SelfReferentialNaplet(name)
+    template = _identified(name)
+    agent._assign_identity(template.naplet_id, template.credential)
+    return agent
+
+
+class TestWholeImage:
+    """A self-referential naplet ships as one whole-image v2 field."""
+
+    def test_cycle_survives_as_a_full_v2_image(self):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _self_referential("loop")
+        agent.state.set("k", 3)
+        data, buffers, cost = sender.dumps_with_cost(agent)
+        assert not cost.delta
+        copy, info = receiver.loads_with_info(data, buffers=buffers or None)
+        assert info["v"] == 2 and info["mode"] == "full"
+        assert copy.me is copy
+        assert copy.box["owner"] is copy
+        assert copy.state.get("k") == 3
+
+    def test_repeat_hop_deltas_against_a_whole_image_base(self):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _self_referential("loop-delta")
+        data, buffers, _ = sender.dumps_with_cost(agent)
+        _, info = receiver.loads_with_info(data, buffers=buffers or None)
+
+        agent.state.set("k", 4)
+        data2, buffers2, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+        assert cost.delta
+        copy, info2 = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        assert info2["mode"] == "delta"
+        assert copy.me is copy and copy.state.get("k") == 4
+
+    def test_breaking_the_cycle_returns_to_per_field_images(self):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _self_referential("loop-break")
+        data, buffers, _ = sender.dumps_with_cost(agent)
+        _, info = receiver.loads_with_info(data, buffers=buffers or None)
+
+        agent.me = None
+        agent.box = {}
+        data2, buffers2, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+        copy, _ = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        assert copy.me is None and copy.box == {}
+        envelope = _pickle.loads(data2, buffers=buffers2 or None)
+        assert "me" in envelope["fields"]
+
+    def test_unidentified_object_cannot_migrate(self):
+        with pytest.raises(SerializationError, match="not an identified naplet"):
+            NapletSerializer().dumps_with_cost({"not": "a naplet"})

@@ -83,6 +83,23 @@ class TestPooledReuse:
         finally:
             transport.close()
 
+    def test_unpooled_exchanges_close_their_connections(self):
+        transport = TcpTransport(pooled=False)
+        try:
+            transport.register("naplet://echo", lambda f: pickle.dumps(b"ok"))
+            for _ in range(3):
+                transport.request(_frame("naplet://echo"), timeout=5)
+                transport.send(_frame("naplet://echo"))
+            # Each exchange's connection is closed on both ends, so no
+            # served connection (and no thread blocked on one) lingers.
+            served = transport._endpoints["naplet://echo"]._conns
+            deadline = time.monotonic() + 5
+            while served and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not served
+        finally:
+            transport.close()
+
     def test_one_way_send_rides_the_pool(self, transport):
         seen = threading.Event()
         transport.register("naplet://sink", lambda f: seen.set())
